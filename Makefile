@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-chaos test-mesh test-telemetry test-serve lint verify-spmd bench bench-smoke bench-wire bench-serve bench-sim examples results clean
+.PHONY: install test test-chaos test-mesh test-telemetry test-serve test-wire lint verify-spmd bench bench-smoke bench-wire bench-serve bench-sim examples results clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -59,6 +59,20 @@ test-serve:
 		tests/test_cli.py -k "ServeBench"
 	PYTHONPATH=src $(PYTHON) tools/check_coverage.py \
 		--target src/repro/serve --min-percent 90 tests/serve
+
+# Wire suite (docs/COMPRESSION.md): frame codecs, the rank-batched
+# delta codec against its per-vector reference, malformed-buffer
+# rejection, the encoded gather, the unique and sparse exchanges, the
+# wire-policy training differentials, and a 90% line-coverage floor on
+# the codecs.
+test-wire:
+	PYTHONPATH=src $(PYTHON) -m pytest -q \
+		tests/core/test_wire.py tests/core/test_wire_properties.py \
+		tests/core/test_wire_fused.py tests/core/test_unique.py \
+		tests/core/test_sparse_exchange.py tests/train/test_wire_train.py
+	PYTHONPATH=src $(PYTHON) tools/check_coverage.py \
+		--target src/repro/core/wire/codecs.py --min-percent 90 \
+		tests/core/test_wire.py tests/core/test_wire_properties.py
 
 lint:
 	PYTHONPATH=src $(PYTHON) -m repro.cli lint src/repro

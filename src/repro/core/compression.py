@@ -14,6 +14,7 @@ experiments are real IEEE-754 rounding, not a model of it.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,14 @@ class WireCodec:
 
     def encode(self, arr: np.ndarray) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError
+
+    def encode_batch(self, arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Encode one array per rank; codecs may vectorise over ranks.
+
+        Must equal ``[self.encode(a) for a in arrays]`` element for
+        element, which is what this default does.
+        """
+        return [self.encode(a) for a in arrays]
 
     def decode(self, arr: np.ndarray, dtype: np.dtype) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError

@@ -35,7 +35,9 @@ Payloads
   block size rides in the payload so frames decode regardless of which
   ``DeltaBitpackCodec(block=...)`` produced them.  Deltas are taken in
   modular uint64 arithmetic, so unsorted inputs and maximal-span int64
-  pairs (``[int64.min, int64.max]``) roundtrip exactly.
+  pairs (``[int64.min, int64.max]``) roundtrip exactly.  Each block is
+  its width byte, then every delta's low ``width`` bits MSB-first,
+  zero-padded to a byte boundary.
 * **run-length** — ``(start, length)`` pairs for maximal runs of
   consecutive ``+1`` increments; ideal for dense index ranges.
 * **entropy** — canonical Huffman over the *bit-widths* of the zigzag
@@ -43,6 +45,14 @@ Payloads
   implicit).  Width symbols concentrate the skew of a Zipf-sorted index
   vector into a few-bit prefix code, beating fixed per-block widths
   because every delta pays only its own width plus ~H(width) bits.
+
+Rank batching
+-------------
+The allgather encodes one vector per rank.
+:meth:`DeltaBitpackCodec.encode_batch` encodes all of them in one
+vectorised pass (``encode`` is the one-vector case of it), and
+:func:`decode_frames` decodes every raw and delta frame of a gathered
+buffer at once; Python only walks frame headers and width bytes.
 
 Neither codec sorts: both are order-preserving, and the *caller* decides
 whether sorting is safe (the unique exchange sorts before encoding
@@ -53,6 +63,7 @@ allgather must not, since index order pairs with value rows).
 from __future__ import annotations
 
 import heapq
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -93,7 +104,6 @@ _CODE_DTYPES = {code: dt for dt, code in _DTYPE_CODES.items()}
 
 _U64_ONE = np.uint64(1)
 _U64_ZERO = np.uint64(0)
-_U64_ALL = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 def _check_input(arr: np.ndarray) -> np.dtype:
@@ -115,9 +125,7 @@ def _header(kind: int, dtype: np.dtype, n: int) -> bytes:
 
 def _zigzag(signed: np.ndarray) -> np.ndarray:
     """Map int64 to uint64 so small-magnitude values get small codes."""
-    u = signed.view(np.uint64)
-    mask = np.where(signed < 0, _U64_ALL, _U64_ZERO)
-    return (u << _U64_ONE) ^ mask
+    return (signed.view(np.uint64) << _U64_ONE) ^ (signed >> 63).view(np.uint64)
 
 
 def _unzigzag(zz: np.ndarray) -> np.ndarray:
@@ -126,22 +134,56 @@ def _unzigzag(zz: np.ndarray) -> np.ndarray:
     return (zz >> _U64_ONE) ^ mask
 
 
-def _pack_low_bits(vals: np.ndarray, width: int) -> np.ndarray:
-    """Pack the low ``width`` bits of each uint64 into a byte stream."""
-    bits = np.unpackbits(
-        vals.astype(">u8", copy=False).view(np.uint8).reshape(-1, 8), axis=1
+def _bit_length_u64(x: np.ndarray) -> np.ndarray:
+    """Exact ``int.bit_length`` (0..64) of each uint64, as int64.
+
+    Each 32-bit half is exact in float64, so ``frexp``'s exponent is
+    its bit length (``frexp(0)`` gives 0).
+    """
+    hi = np.frexp((x >> np.uint64(32)).astype(np.float64))[1]
+    lo = np.frexp((x & np.uint64(0xFFFFFFFF)).astype(np.float64))[1]
+    return np.where(hi > 0, hi + 32, lo).astype(np.int64)
+
+
+def _excl_cumsum(x: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sum: where each ragged segment starts."""
+    out = np.cumsum(x)
+    out -= x
+    return out
+
+
+def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + l) for s, l in zip(starts, lengths)])``."""
+    return np.repeat(starts - _excl_cumsum(lengths), lengths) + np.arange(
+        int(lengths.sum())
     )
-    return np.packbits(bits[:, 64 - width:])
 
 
-def _unpack_low_bits(buf: np.ndarray, n: int, width: int) -> np.ndarray:
-    """Inverse of :func:`_pack_low_bits` for ``n`` packed values."""
-    if width == 0:
-        return np.zeros(n, dtype=np.uint64)
-    bits = np.unpackbits(buf, count=n * width).reshape(n, width)
-    full = np.zeros((n, 64), dtype=np.uint8)
-    full[:, 64 - width:] = bits
-    return np.packbits(full.reshape(-1)).view(">u8").astype(np.uint64)
+def _put_bits(
+    words: np.ndarray, pos: np.ndarray, width: np.ndarray, vals: np.ndarray
+) -> None:
+    """Add each value's low ``width`` (1..64) bits, MSB-first, at bit ``pos``.
+
+    Bit ``p`` of a byte stream is bit ``63 - p % 64`` of big-endian
+    uint64 word ``p // 64``; a value spills into the next word when it
+    does not fit.  Values must be below ``2**width`` and their bit
+    ranges disjoint, so adding is OR-ing.
+    """
+    word = pos >> 6
+    r = (pos & 63).view(np.uint64)
+    top = vals << (64 - width).view(np.uint64)  # left-aligned in a word
+    np.add.at(words, word, top >> r)
+    # ``(x << 1) << (63 - r)`` is ``x << (64 - r)``, and 0 at r = 0.
+    np.add.at(words, word + 1, (top << _U64_ONE) << (63 - r))
+
+
+def _get_bits(words: np.ndarray, pos: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_put_bits` for widths 1..64 (one word of slack)."""
+    word = pos >> 6
+    r = (pos & 63).view(np.uint64)
+    # ``(x >> 1) >> (63 - r)`` is ``x >> (64 - r)``, and 0 at r = 0.
+    head = (words[word] << r) | ((words[word + 1] >> _U64_ONE) >> (63 - r))
+    return head >> (64 - width).view(np.uint64)
 
 
 def _modular_deltas(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -164,9 +206,10 @@ def _raw_frame(arr: np.ndarray, dtype: np.dtype) -> np.ndarray:
 class LosslessIntCodec(WireCodec):
     """Base class for the self-delimiting lossless integer codecs.
 
-    Subclasses implement ``encode``; ``decode`` is shared because every
-    frame carries its own kind byte — a buffer may even mix frames from
-    different codecs (as a chunked or mixed-codec gather produces).
+    Subclasses implement ``encode`` (and may vectorise ``encode_batch``
+    over ranks); ``decode`` is shared because every frame carries its
+    own kind byte — a buffer may even mix frames from different codecs
+    (as a chunked or mixed-codec gather produces).
     """
 
     #: Roundtrip is bit-exact; the sanitizer can verify it cheaply.
@@ -212,25 +255,97 @@ class DeltaBitpackCodec(LosslessIntCodec):
 
     def encode(self, arr: np.ndarray) -> np.ndarray:
         """Encode one index vector into a self-delimiting uint8 frame."""
-        dtype = _check_input(arr)
-        n = arr.size
-        if n == 0:
-            return _frame_bytes(_KIND_DELTA, dtype, 0, b"")
-        v, zz = _modular_deltas(arr)
-        chunks: list[bytes] = [
-            int(self.block).to_bytes(4, "little"),
-            np.array([v[0]], dtype="<i8").tobytes(),
-        ]
-        for start in range(0, zz.size, self.block):
-            blk = zz[start:start + self.block]
-            width = int(blk.max()).bit_length()
-            chunks.append(bytes([width]))
-            if width:
-                chunks.append(_pack_low_bits(blk, width).tobytes())
-        payload = b"".join(chunks)
-        if len(payload) >= arr.nbytes:
-            return _raw_frame(arr, dtype)
-        return _frame_bytes(_KIND_DELTA, dtype, n, payload)
+        return self.encode_batch([arr])[0]
+
+    def encode_batch(self, arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Encode every rank's vector in one vectorised pass.
+
+        All vectors share one dtype, as one gathered buffer must.
+        Frames are byte-identical to encoding each vector alone; they
+        are returned as consecutive views of one buffer.  The vectors
+        are concatenated, deltas are taken across the concatenation and
+        the ones that straddle a rank boundary dropped; block widths
+        come from one ``maximum.reduceat``, and every delta is packed at
+        its block's width in one pass.
+        """
+        world = len(arrays)
+        if world == 0:
+            return []
+        dtypes = {_check_input(a) for a in arrays}
+        if len(dtypes) != 1:
+            raise ValueError(f"one dtype per batch, got {sorted(map(str, dtypes))}")
+        (dtype,) = dtypes
+        n = np.fromiter((a.size for a in arrays), dtype=np.int64, count=world)
+        v = np.concatenate(arrays).astype(np.int64, copy=False)
+        starts = _excl_cumsum(n)
+        nonempty = n > 0
+
+        # Modular deltas within each rank's vector (zigzagged).
+        u = v.view(np.uint64)
+        du = np.empty_like(u)
+        du[1:] = u[1:] - u[:-1]  # wraps mod 2**64: exact for any int64 span
+        inner = np.ones(v.size, dtype=bool)
+        inner[starts[nonempty]] = False
+        zz = _zigzag(du[inner].view(np.int64))
+
+        # Blocks: ``nb`` per rank, ``blk_len`` deltas each.
+        m = np.maximum(n - 1, 0)
+        nb = -(-m // self.block)
+        blk_rank = np.repeat(np.arange(world), nb)
+        blk_first = _excl_cumsum(nb)
+        blk_k = np.arange(blk_rank.size) - blk_first[blk_rank]
+        blk_start = _excl_cumsum(m)[blk_rank] + blk_k * self.block
+        blk_len = np.minimum(self.block, m[blk_rank] - blk_k * self.block)
+        width = _bit_length_u64(np.maximum.reduceat(zz, blk_start))
+        blk_bytes = (blk_len * width + 7) // 8
+
+        # Frame sizes; a delta frame must beat the raw bytes.
+        cs = np.concatenate(([0], np.cumsum(1 + blk_bytes)))
+        blk_pos = cs[:-1] - cs[blk_first][blk_rank]  # offset in the rank's blocks
+        payload = 12 + cs[blk_first + nb] - cs[blk_first]
+        delta = nonempty & (payload < n * dtype.itemsize)
+        body = np.where(delta, payload, n * dtype.itemsize)
+        size = FRAME_HEADER_BYTES + body
+        off = _excl_cumsum(size)
+        out = np.zeros(int(size.sum()), dtype=np.uint8)
+
+        head = np.empty((world, FRAME_HEADER_BYTES), dtype=np.uint8)
+        head[:, 0] = np.where(delta | ~nonempty, _KIND_DELTA, _KIND_RAW)
+        head[:, 1] = _DTYPE_CODES[dtype]
+        head[:, 2:] = n.astype("<u8").view(np.uint8).reshape(world, 8)
+        out[off[:, None] + np.arange(FRAME_HEADER_BYTES)] = head
+
+        d = np.flatnonzero(delta)
+        prelude = np.empty((d.size, 12), dtype=np.uint8)
+        prelude[:, :4] = np.array([self.block], dtype="<u4").view(np.uint8)
+        prelude[:, 4:] = v[starts[d]].astype("<i8").view(np.uint8).reshape(-1, 8)
+        out[(off[d] + FRAME_HEADER_BYTES)[:, None] + np.arange(12)] = prelude
+
+        # Width bytes, then each block's deltas bit-packed from the next
+        # byte on (zero padding to the block's byte boundary is free).
+        packed_blk = delta[blk_rank]
+        width_at = off[blk_rank] + FRAME_HEADER_BYTES + 12 + blk_pos
+        out[width_at[packed_blk]] = width[packed_blk]
+        w = np.repeat(np.where(packed_blk, width, 0), blk_len)
+        pos = np.repeat(8 * (width_at + 1) - blk_start * width, blk_len)
+        pos += np.arange(zz.size) * w
+        packed = w > 0
+        if packed.any():
+            words = np.zeros(out.size // 8 + 2, dtype=np.uint64)
+            _put_bits(words, pos[packed], w[packed], zz[packed])
+            out |= words.astype(">u8").view(np.uint8)[:out.size]
+
+        # Raw fallback frames: the input bytes, little-endian.
+        raw = nonempty & ~delta
+        if raw.any():
+            r = np.flatnonzero(raw)
+            nbytes = n[r] * dtype.itemsize
+            out[_ragged_arange(off[r] + FRAME_HEADER_BYTES, nbytes)] = (
+                v[_ragged_arange(starts[r], n[r])]
+                .astype(dtype.newbyteorder("<")).view(np.uint8)
+            )
+        ends = (off + size).tolist()
+        return [out[a:b] for a, b in zip(off.tolist(), ends)]
 
     def estimate_nbytes(self, arr: np.ndarray, sample: int = 1024) -> int:
         """Cheap encoded-size estimate from a strided sorted sample.
@@ -299,16 +414,6 @@ class RunLengthCodec(LosslessIntCodec):
         probe = np.sort(arr[: int(sample)])
         est = self.encode(probe).size / probe.size * arr.size
         return int(min(est, FRAME_HEADER_BYTES + arr.nbytes))
-
-
-def _delta_bit_lengths(zz: np.ndarray) -> np.ndarray:
-    """Per-delta ``bit_length`` (0..64) of zigzagged uint64 deltas."""
-    bits = np.unpackbits(
-        zz.astype(">u8", copy=False).view(np.uint8).reshape(-1, 8), axis=1
-    )
-    widths = (64 - bits.argmax(axis=1)).astype(np.uint8)
-    widths[zz == _U64_ZERO] = 0  # argmax of an all-zero row is 0, not 64
-    return widths
 
 
 def _huffman_code_lengths(counts: np.ndarray) -> np.ndarray:
@@ -399,15 +504,14 @@ class EntropyCodec(LosslessIntCodec):
             # No deltas to code; the 81-byte payload floor always loses.
             return _raw_frame(arr, dtype)
         v, zz = _modular_deltas(arr)
-        widths = _delta_bit_lengths(zz)
+        widths = _bit_length_u64(zz)
         counts = np.bincount(widths, minlength=_N_WIDTH_SYMBOLS)
         lengths = _huffman_code_lengths(counts)
         codes = np.zeros(_N_WIDTH_SYMBOLS, dtype=np.uint64)
         for sym, _length, code in _canonical_code_table(lengths):
             codes[sym] = code
-        w64 = widths.astype(np.int64)
         per_delta_bits = lengths[widths].astype(np.int64) + np.maximum(
-            w64 - 1, 0
+            widths - 1, 0
         )
         offsets = np.zeros(per_delta_bits.size, dtype=np.int64)
         np.cumsum(per_delta_bits[:-1], out=offsets[1:])
@@ -453,35 +557,6 @@ class EntropyCodec(LosslessIntCodec):
         return int(min(est, FRAME_HEADER_BYTES + arr.nbytes))
 
 
-def _decode_delta_payload(
-    raw: bytes, offset: int, n: int
-) -> tuple[np.ndarray, int]:
-    """Decode a delta-bitpack payload; return (uint64 values, new offset)."""
-    block = int.from_bytes(raw[offset:offset + 4], "little")
-    offset += 4
-    if block <= 0:
-        raise ValueError(f"corrupt delta frame: block size {block}")
-    first = np.frombuffer(raw, dtype="<i8", count=1, offset=offset)
-    offset += 8
-    deltas = np.empty(n - 1, dtype=np.uint64)
-    done = 0
-    while done < n - 1:
-        blk_n = min(block, n - 1 - done)
-        width = raw[offset]
-        offset += 1
-        nbytes = (blk_n * width + 7) // 8
-        packed = np.frombuffer(raw, dtype=np.uint8, count=nbytes, offset=offset)
-        offset += nbytes
-        deltas[done:done + blk_n] = _unpack_low_bits(packed, blk_n, width)
-        done += blk_n
-    u = np.empty(n, dtype=np.uint64)
-    u[0] = first.astype(np.int64)[0:1].view(np.uint64)[0]
-    if n > 1:
-        np.cumsum(_unzigzag(deltas), out=u[1:])
-        u[1:] += u[0]
-    return u, offset
-
-
 def _decode_rle_payload(raw: bytes, offset: int, n: int) -> tuple[np.ndarray, int]:
     """Decode a run-length payload; return (uint64 values, new offset)."""
     n_runs = int.from_bytes(raw[offset:offset + 8], "little")
@@ -490,6 +565,10 @@ def _decode_rle_payload(raw: bytes, offset: int, n: int) -> tuple[np.ndarray, in
     offset += 8 * n_runs
     lengths = np.frombuffer(raw, dtype="<u8", count=n_runs, offset=offset)
     offset += 8 * n_runs
+    if n_runs == 0 or lengths.min() == 0 or lengths.max() > n or int(
+        lengths.sum()
+    ) != n:
+        raise ValueError("corrupt run-length frame: run lengths do not sum to n")
     su = starts.astype(np.int64).view(np.uint64)
     lu = lengths.astype(np.uint64)
     steps = np.ones(n, dtype=np.uint64)
@@ -566,20 +645,35 @@ def decode_frames(arr: np.ndarray, dtype: np.dtype) -> np.ndarray:
     the result is the rank-order concatenation of the original vectors.
     ``dtype`` must match the dtype recorded in every frame — a mismatch
     means the caller lost track of what was encoded, which is an error,
-    not a cast.
+    not a cast.  Any malformed buffer raises ``ValueError``.
+
+    Python walks only the frame headers and the delta width bytes.  Raw
+    and delta frames are then decoded together: every raw element and
+    every delta frame's first value starts a segment, the packed deltas
+    are read with one bit gather, and a segmented uint64 cumsum yields
+    the values.  Run-length and entropy frames use their own payload
+    decoders.
     """
     if arr.dtype != np.uint8:
         raise ValueError(f"expected a uint8 frame buffer, got {arr.dtype}")
     want = np.dtype(dtype)
     if want not in _DTYPE_CODES:
         raise ValueError(f"frames hold int32/int64 indices, not {want}")
-    raw = arr.tobytes()
-    parts: list[np.ndarray] = []
-    offset = 0
-    while offset < len(raw):
-        if offset + FRAME_HEADER_BYTES > len(raw):
+    buf = np.ascontiguousarray(arr).reshape(-1)
+    raw = buf.tobytes()
+    size = len(raw)
+    itemsize = want.itemsize
+    raw_spans: list[tuple[int, int, int]] = []  # (byte offset, element offset, n)
+    firsts: list[tuple[int, int]] = []  # (byte offset, element offset)
+    blocks: list[tuple[int, int, int, int]] = []  # (byte, element, n, width)
+    others: list[tuple[int, np.ndarray]] = []  # (element offset, uint64 values)
+    total = offset = 0
+    while offset < size:
+        if offset + FRAME_HEADER_BYTES > size:
             raise ValueError("truncated frame header")
         kind = raw[offset]
+        if kind not in (_KIND_RAW, _KIND_DELTA, _KIND_RLE, _KIND_ENTROPY):
+            raise ValueError(f"unknown frame kind {kind}")
         frame_dtype = _CODE_DTYPES.get(raw[offset + 1])
         if frame_dtype is None:
             raise ValueError(f"unknown frame dtype code {raw[offset + 1]}")
@@ -590,26 +684,73 @@ def decode_frames(arr: np.ndarray, dtype: np.dtype) -> np.ndarray:
         n = int.from_bytes(raw[offset + 2:offset + 10], "little")
         offset += FRAME_HEADER_BYTES
         if n == 0:
-            parts.append(np.zeros(0, dtype=want))
             continue
         if kind == _KIND_RAW:
-            count_bytes = n * want.itemsize
-            vals = np.frombuffer(
-                raw, dtype=want.newbyteorder("<"), count=n, offset=offset
-            ).astype(want, copy=False)
-            offset += count_bytes
+            if offset + n * itemsize > size:
+                raise ValueError("corrupt raw frame: truncated payload")
+            raw_spans.append((offset, total, n))
+            offset += n * itemsize
         elif kind == _KIND_DELTA:
-            u, offset = _decode_delta_payload(raw, offset, n)
-            vals = u.view(np.int64).astype(want, copy=False)
-        elif kind == _KIND_RLE:
-            u, offset = _decode_rle_payload(raw, offset, n)
-            vals = u.view(np.int64).astype(want, copy=False)
-        elif kind == _KIND_ENTROPY:
-            u, offset = _decode_entropy_payload(raw, offset, n)
-            vals = u.view(np.int64).astype(want, copy=False)
+            if offset + 12 > size:
+                raise ValueError("corrupt delta frame: truncated payload")
+            block = int.from_bytes(raw[offset:offset + 4], "little")
+            if block == 0:
+                raise ValueError("corrupt delta frame: block size 0")
+            firsts.append((offset + 4, total))
+            offset += 12
+            done = 1
+            while done < n:
+                if offset >= size:
+                    raise ValueError("corrupt delta frame: truncated payload")
+                width = raw[offset]
+                if width > 64:
+                    raise ValueError(f"corrupt delta frame: width {width} > 64")
+                blk_n = min(block, n - done)
+                end = offset + 1 + (blk_n * width + 7) // 8
+                if end > size:
+                    raise ValueError("corrupt delta frame: truncated payload")
+                if width:  # a zero-width block is all-zero deltas
+                    blocks.append((offset + 1, total + done, blk_n, width))
+                offset = end
+                done += blk_n
         else:
-            raise ValueError(f"unknown frame kind {kind}")
-        parts.append(np.ascontiguousarray(vals))
-    if not parts:
-        return np.zeros(0, dtype=want)
-    return np.concatenate(parts)
+            decode = (
+                _decode_rle_payload if kind == _KIND_RLE else _decode_entropy_payload
+            )
+            vals, offset = decode(raw, offset, n)
+            others.append((total, vals))
+        total += n
+
+    steps = np.zeros(total, dtype=np.uint64)
+    is_start = np.zeros(total, dtype=bool)
+    if raw_spans:
+        byte_at, elem_at, count = np.array(raw_spans, dtype=np.int64).T
+        elems = _ragged_arange(elem_at, count)
+        le = buf[_ragged_arange(byte_at, count * itemsize)].view(
+            want.newbyteorder("<")
+        )
+        steps[elems] = le.astype(np.int64).view(np.uint64)
+        is_start[elems] = True
+    if firsts:
+        byte_at, elem_at = np.array(firsts, dtype=np.int64).T
+        le = buf[byte_at[:, None] + np.arange(8)].reshape(-1).view("<i8")
+        steps[elem_at] = le.astype(np.int64).view(np.uint64)
+        is_start[elem_at] = True
+    if blocks:
+        byte_at, elem_at, count, width = np.array(blocks, dtype=np.int64).T
+        w = np.repeat(width, count)
+        local = np.arange(w.size) - np.repeat(_excl_cumsum(count), count)
+        words = np.zeros(size // 8 + 2, dtype=">u8")
+        words.view(np.uint8)[:size] = buf
+        steps[_ragged_arange(elem_at, count)] = _unzigzag(_get_bits(
+            words.astype(np.uint64), 8 * np.repeat(byte_at, count) + local * w, w
+        ))
+    for at, vals in others:
+        steps[at:at + vals.size] = vals
+        is_start[at:at + vals.size] = True
+    # Segmented cumsum: every segment restarts at its start value.
+    seg_starts = np.flatnonzero(is_start)
+    seg = np.cumsum(is_start) - 1
+    run = np.cumsum(np.where(is_start, _U64_ZERO, steps))
+    u = run - (run[seg_starts] - steps[seg_starts])[seg]
+    return u.view(np.int64).astype(want, copy=False)

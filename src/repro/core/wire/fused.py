@@ -188,16 +188,16 @@ def _frame_hop_sizes(
     ag = [[0] * hops for _ in chunks] if allgather and hops else None
     for c in range(len(chunks)):
         lo, hi = bounds[c], bounds[c + 1]
-        ag_max = 0
-        for j in range(world):
-            base = j * shard
-            part = flats[j][base + lo:base + hi].copy()
-            for h in range(1, world):
-                rs[c][h - 1] = max(rs[c][h - 1], int(codec.encode(part).size))
-                part += flats[(j + h) % world][base + lo:base + hi]
-            if ag is not None:
-                ag_max = max(ag_max, int(codec.encode(part).size))
+        # parts[j]: shard j's partial, one rank longer per hop.
+        parts = [
+            flats[j][j * shard + lo:j * shard + hi].copy() for j in range(world)
+        ]
+        for h in range(1, world):
+            rs[c][h - 1] = max(f.size for f in codec.encode_batch(parts))
+            for j, part in enumerate(parts):
+                part += flats[(j + h) % world][j * shard + lo:j * shard + hi]
         if ag is not None:
+            ag_max = max(f.size for f in codec.encode_batch(parts))
             for h in range(hops):
                 ag[c][h] = ag_max
     return rs, ag

@@ -30,7 +30,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .codecs import decode_frames
+from .codecs import _ragged_arange, decode_frames
 from .cost import CodecThroughput, codec_throughput
 
 __all__ = ["PendingEncodedGather", "iencoded_allgather", "wire_instruments"]
@@ -89,9 +89,10 @@ class PendingEncodedGather:
 
     Produced by :func:`iencoded_allgather`; :meth:`wait` completes the
     chunk collectives in issue order, charges decode compute, and
-    returns the same thing a raw ``iallgather(...).wait()`` would: one
-    copy per receiving rank of the rank-order concatenation of every
-    rank's decoded vector, original element order.  Idempotent.
+    returns what a raw ``iallgather(..., shared_result=True).wait()``
+    would: the rank-order concatenation of every rank's decoded vector,
+    original element order, as one shared array listed once per rank.
+    The array is read-only — writing to it raises.  Idempotent.
     """
 
     def __init__(
@@ -120,8 +121,8 @@ class PendingEncodedGather:
         if self._result is not None:
             return self._result
         world = self._comm.world_size
-        per_rank: list[list[np.ndarray]] = [[] for _ in range(world)]
         ins = self._instruments
+        decoded = []
         for handle, sizes in zip(self._handles, self._chunk_sizes):
             buf = handle.wait()[0]
             if self._throughput is not None:
@@ -134,15 +135,18 @@ class PendingEncodedGather:
                     if ins is not None:
                         ins["decode_s"].observe(decode_s, **ins["labels"])
                         ins["decode_bytes"].inc(decoded_bytes, **ins["labels"])
-            decoded = decode_frames(buf, self._dtype)
-            bounds = np.cumsum(sizes)[:-1]
-            for rank, part in enumerate(np.split(decoded, bounds)):
-                per_rank[rank].append(part)
+            decoded.append(decode_frames(buf, self._dtype))
         # A raw allgather hands every receiving rank the rank-order
-        # concatenation; reassemble the chunk-interleaved wire order
-        # back into that contract so callers can swap the two freely.
-        full = np.concatenate([np.concatenate(parts) for parts in per_rank])
-        self._result = [full.copy() for _ in range(world)]
+        # concatenation; move each part of the chunk-major wire order to
+        # its rank-major place so callers can swap the two freely.
+        sizes = np.array(self._chunk_sizes, dtype=np.int64).T  # (rank, chunk)
+        starts = (np.cumsum(sizes) - sizes.ravel()).reshape(sizes.shape)
+        full = np.empty(int(sizes.sum()), dtype=self._dtype)
+        full[_ragged_arange(starts.T.ravel(), sizes.T.ravel())] = np.concatenate(
+            decoded
+        )
+        full.flags.writeable = False
+        self._result = [full] * world
         return self._result
 
 
@@ -157,6 +161,11 @@ def iencoded_allgather(
 ) -> PendingEncodedGather:
     """Issue a chunked, codec-encoded allgather of per-rank index vectors.
 
+    Each chunk's per-rank frames come from one ``codec.encode_batch``
+    call, and its gather hands back one shared buffer
+    (``shared_result=True``).  :meth:`PendingEncodedGather.wait`
+    returns one shared read-only array for every rank.
+
     Parameters
     ----------
     comm:
@@ -169,8 +178,8 @@ def iencoded_allgather(
         Order is preserved end to end; sort beforehand if the consumer
         is order-insensitive and sorted data compresses better.
     codec:
-        A frame codec (``decode`` must handle frame concatenation —
-        any :class:`~repro.core.wire.codecs.LosslessIntCodec`).
+        A frame codec whose frames :func:`~repro.core.wire.codecs.decode_frames`
+        reads — any :class:`~repro.core.wire.codecs.LosslessIntCodec`.
     tag:
         Ledger tag for the chunk collectives.
     chunk_bytes:
@@ -225,11 +234,12 @@ def iencoded_allgather(
                         ins["encode_bytes"].inc(
                             ch.size * itemsize, **ins["labels"]
                         )
-            frames = [codec.encode(ch) for ch in chunks]
+            frames = codec.encode_batch(chunks)
             handle = comm.iallgather(
                 frames,
                 tag=f"{tag}[{c}]" if n_chunks > 1 else tag,
                 payload_bytes=max(sizes) * itemsize,
+                shared_result=True,
             )
             if ins is not None:
                 ins["frame_bytes"].inc(

@@ -17,6 +17,7 @@ from repro.core.wire import (
     AdaptiveCodecSelector,
     CodecPipeline,
     DeltaBitpackCodec,
+    EntropyCodec,
     RunLengthCodec,
     WirePolicy,
     available_codecs,
@@ -51,6 +52,72 @@ EDGE_VECTORS = [
     np.array([np.iinfo(np.int32).min, np.iinfo(np.int32).max], dtype=np.int32),
     np.array([9, 2, 2, 8], dtype=np.int32),
 ]
+
+
+def _delta_frame():
+    frame = DeltaBitpackCodec().encode(np.arange(0, 400, 3, dtype=np.int64))
+    assert frame[0] == 2  # a delta frame, not the raw fallback
+    return frame.copy()
+
+
+def _patched(frame, at, value):
+    frame = frame.copy()
+    frame[at] = value
+    return frame
+
+
+#: Malformed frame buffers by defect: ``(build, message)`` where
+#: ``build()`` returns ``(buffer, dtype)``.  A delta frame is header
+#: (10 bytes), block size (4), first value (8), then width byte +
+#: packed bits per block.
+MALFORMED_BUFFERS = {
+    "truncated-header": (
+        lambda: (_delta_frame()[:5], np.int64), "truncated frame header"
+    ),
+    "truncated-delta-payload": (
+        lambda: (_delta_frame()[:-3], np.int64), "delta frame: truncated"
+    ),
+    "truncated-delta-prelude": (
+        lambda: (_delta_frame()[:16], np.int64), "delta frame: truncated"
+    ),
+    "truncated-raw-payload": (
+        lambda: (
+            DeltaBitpackCodec().encode(np.array([5], dtype=np.int64))[:-1],
+            np.int64,
+        ),
+        "raw frame: truncated",
+    ),
+    "truncated-entropy-payload": (
+        lambda: (
+            EntropyCodec().encode(np.arange(0, 4000, 7, dtype=np.int64))[:-2],
+            np.int64,
+        ),
+        "smaller than requested",
+    ),
+    "rle-run-lengths-mismatch": (
+        lambda: (
+            _patched(
+                RunLengthCodec().encode(np.arange(64, dtype=np.int64)), 26, 63
+            ),
+            np.int64,
+        ),
+        "run lengths",
+    ),
+    "block-size-0": (
+        lambda: (_patched(_delta_frame(), slice(10, 14), 0), np.int64),
+        "block size 0",
+    ),
+    "width-over-64": (
+        lambda: (_patched(_delta_frame(), 22, 65), np.int64), "width 65"
+    ),
+    "unknown-kind": (
+        lambda: (_patched(_delta_frame(), 0, 9), np.int64), "kind 9"
+    ),
+    "unknown-dtype-code": (
+        lambda: (_patched(_delta_frame(), 1, 7), np.int64), "dtype code 7"
+    ),
+    "dtype-mismatch": (lambda: (_delta_frame(), np.int32), "asked for int32"),
+}
 
 
 class TestLosslessCodecs:
@@ -112,12 +179,23 @@ class TestLosslessCodecs:
         with pytest.raises(ValueError, match="int64"):
             decode_frames(frame, np.int32)
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED_BUFFERS))
+    def test_malformed_buffer_raises_value_error(self, case):
+        build, message = MALFORMED_BUFFERS[case]
+        buf, dtype = build()
+        with pytest.raises(ValueError, match=message):
+            decode_frames(buf, dtype)
+
     def test_rejects_float_and_2d_inputs(self):
         codec = DeltaBitpackCodec()
         with pytest.raises(ValueError, match="int32/int64"):
             codec.encode(np.zeros(4, dtype=np.float32))
         with pytest.raises(ValueError, match="1-D"):
             codec.encode(np.zeros((2, 2), dtype=np.int64))
+        with pytest.raises(ValueError, match="one dtype per batch"):
+            codec.encode_batch(
+                [np.zeros(2, dtype=np.int32), np.zeros(2, dtype=np.int64)]
+            )
 
     @pytest.mark.parametrize("codec", CODECS, ids=CODEC_IDS)
     def test_estimate_is_a_usable_upper_signal(self, codec):
@@ -299,6 +377,20 @@ class TestEncodedAllgather:
         assert pending.is_complete()
         assert pending.wait() is first
 
+    @pytest.mark.parametrize("chunk_bytes", [None, 100])
+    def test_wait_shares_one_read_only_result(self, chunk_bytes):
+        world = 4
+        vecs = self._vectors(world)
+        out = iencoded_allgather(
+            comm(world), vecs, DeltaBitpackCodec(), chunk_bytes=chunk_bytes
+        ).wait()
+        assert len(out) == world
+        assert all(o is out[0] for o in out)
+        assert not out[0].flags.writeable
+        with pytest.raises(ValueError):
+            out[0][0] = 1
+        np.testing.assert_array_equal(out[0], np.concatenate(vecs))
+
     def test_ledger_charges_encoded_bytes_under_codec_scope(self):
         c = comm(4)
         vecs = self._vectors(4)
@@ -352,6 +444,25 @@ class TestExchangeWithWirePolicy:
         wired = strategy_cls(
             wire=WirePolicy.from_spec(spec, chunk_bytes=1024)
         ).exchange(comm(4), grads)
+        for b, w in zip(base, wired):
+            np.testing.assert_array_equal(b.indices, w.indices)
+            np.testing.assert_array_equal(b.values, w.values)
+
+    @pytest.mark.parametrize("strategy_cls", [UniqueExchange, AllGatherExchange])
+    def test_delta_policy_bit_exact_at_g64_with_ragged_k(self, strategy_cls):
+        world = 64
+        rng = np.random.default_rng(11)
+        grads = [
+            SparseGrad(
+                indices=rng.integers(0, 5000, k),
+                values=rng.standard_normal((k, 4)),
+            )
+            for k in [0] + rng.integers(1, 300, world - 1).tolist()
+        ]
+        base = strategy_cls().exchange(comm(world), grads)
+        wired = strategy_cls(wire=WirePolicy.from_spec("delta")).exchange(
+            comm(world), grads
+        )
         for b, w in zip(base, wired):
             np.testing.assert_array_equal(b.indices, w.indices)
             np.testing.assert_array_equal(b.values, w.values)
